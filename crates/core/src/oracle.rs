@@ -85,30 +85,15 @@ pub fn check_nf_preserves_eval<S: UpdateStructure>(
     structure: &S,
     valuations: &[Valuation<S::Value>],
 ) -> Result<usize, OracleDivergence> {
-    let mut nf_memo = NfMemo::new();
     let mut memo = DenseMemo::new();
-    check_nf_preserves_eval_in(arena, roots, structure, valuations, &mut nf_memo, &mut memo)
-}
-
-/// [`check_nf_preserves_eval`] with caller-provided memos — the pooling
-/// variant for fuzz loops that run the oracle per generated case and want
-/// one normalization memo and one evaluation memo reused across cases.
-pub fn check_nf_preserves_eval_in<S: UpdateStructure>(
-    arena: &mut ExprArena,
-    roots: &[NodeId],
-    structure: &S,
-    valuations: &[Valuation<S::Value>],
-    nf_memo: &mut NfMemo,
-    memo: &mut DenseMemo<S::Value>,
-) -> Result<usize, OracleDivergence> {
-    let images: Vec<NodeId> = nf_roots_in(arena, roots, nf_memo)
+    let images: Vec<NodeId> = nf_roots_in(arena, roots, &mut NfMemo::new())
         .into_iter()
         .map(|out| out.id)
         .collect();
     let mut checked = 0;
     for (vix, val) in valuations.iter().enumerate() {
-        let before = eval_roots_in(arena, roots, structure, val, memo);
-        let after = eval_roots_in(arena, &images, structure, val, memo);
+        let before = eval_roots_in(arena, roots, structure, val, &mut memo);
+        let after = eval_roots_in(arena, &images, structure, val, &mut memo);
         for (ix, (b, a)) in before.iter().zip(&after).enumerate() {
             checked += 1;
             if b != a {
@@ -158,37 +143,12 @@ pub fn check_parallel_matches_serial<S: UpdateStructure>(
     val: &Valuation<S::Value>,
     thread_counts: &[usize],
 ) -> Result<usize, OracleDivergence> {
-    let mut memo = DenseMemo::new();
+    let serial = eval_roots_in(arena, roots, structure, val, &mut DenseMemo::new());
     let pool = MemoPool::new();
-    check_parallel_matches_serial_in(
-        arena,
-        roots,
-        structure,
-        val,
-        thread_counts,
-        &mut memo,
-        &pool,
-    )
-}
-
-/// [`check_parallel_matches_serial`] with a caller-provided serial memo
-/// and shard-memo pool — the pooling variant for fuzz loops that run the
-/// oracle per generated case and want the allocations reused across
-/// cases.
-pub fn check_parallel_matches_serial_in<S: UpdateStructure>(
-    arena: &ExprArena,
-    roots: &[NodeId],
-    structure: &S,
-    val: &Valuation<S::Value>,
-    thread_counts: &[usize],
-    memo: &mut DenseMemo<S::Value>,
-    pool: &MemoPool<S::Value>,
-) -> Result<usize, OracleDivergence> {
-    let serial = eval_roots_in(arena, roots, structure, val, memo);
     let mut checked = 0;
     for &threads in thread_counts {
         let resolved = crate::parallel::resolve_threads(threads);
-        let par = par_eval_roots_in(arena, roots, structure, val, pool, resolved);
+        let par = par_eval_roots_in(arena, roots, structure, val, &pool, resolved);
         for (ix, (s_val, p_val)) in serial.iter().zip(&par).enumerate() {
             checked += 1;
             if s_val != p_val {

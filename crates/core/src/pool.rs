@@ -51,6 +51,21 @@
 //! assert_eq!(hits.load(Ordering::Relaxed), 8);
 //! ```
 
+// Panic-free zone: the run loop serves every evaluator in the process.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+    )
+)]
+
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -81,10 +96,16 @@ struct RunCtx {
     all_done: Condvar,
 }
 
-// SAFETY: `body` crosses threads by design; the claim/latch protocol above
-// guarantees every dereference happens while the closure is alive, and
-// `dyn Fn(usize) + Sync` makes concurrent calls from several threads sound.
+// SAFETY: the raw `body` pointer is the only field that is not `Send`.
+// Moving a `RunCtx` (in an `Arc`) to a resident only moves the pointer; the
+// claim/latch protocol above guarantees that a resident dereferences it only
+// while the closure is alive, and the closure's own type is `Sync`, so
+// running it on another thread is what `thread::scope` would allow too.
 unsafe impl Send for RunCtx {}
+// SAFETY: shared access from several threads reaches `body` only through
+// `claim_and_execute`, which calls it as `&dyn Fn(usize)`; the pointee is
+// `Sync`, so concurrent calls through a shared reference are sound. Every
+// other field is an atomic or sits behind a `Mutex`/`Condvar`.
 unsafe impl Sync for RunCtx {}
 
 struct DoneState {
@@ -130,13 +151,17 @@ impl WorkerPool {
             task_ready: Condvar::new(),
             dispatches: AtomicU64::new(0),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion while constructing the pool; \
+                      there is no degraded mode to fall back to"
+        )]
         let handles = (0..residents)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("uprov-pool-{i}"))
                     .spawn(move || resident_loop(&shared))
-                    // lint: allow(panic, reason = "spawn fails only on OS thread exhaustion while constructing the pool; there is no degraded mode to fall back to")
                     .expect("spawn pool worker")
             })
             .collect();
@@ -243,8 +268,12 @@ impl WorkerPool {
         }
         let panicked = done.panicked;
         drop(done);
+        #[expect(
+            clippy::panic,
+            reason = "deliberate propagation: a worker body panicked and the scoped-harness \
+                      contract is to re-panic on the calling thread after every body finished"
+        )]
         if panicked {
-            // lint: allow(panic, reason = "deliberate propagation: a worker body panicked and the scoped-harness contract is to re-panic on the calling thread after every body finished")
             panic!("evaluation worker panicked");
         }
     }

@@ -146,6 +146,8 @@
 //! assert_eq!(alive, ["x"]);
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod log;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -248,10 +250,6 @@ pub struct ReplayState {
     nf_by_tuple: BTreeMap<String, NodeId>,
     dirty: BTreeSet<String>,
 }
-
-/// Former name of [`ReplayState`], kept as an alias for code written
-/// against the pre-incremental API.
-pub type Replayed = ReplayState;
 
 impl ReplayState {
     /// The current provenance of `tuple` ([`ExprArena::ZERO`] for tuples
@@ -443,8 +441,8 @@ pub struct StateSnapshot {
 }
 
 /// One whole-database concrete answer: `(tuple name, value)` for every
-/// tracked tuple, in sorted name order. The element type of the batched
-/// evaluators ([`Engine::eval_tuples_batch`], [`Engine::abort_eval_batch`]).
+/// tracked tuple, in sorted name order. The element type of
+/// [`Engine::eval_tuples_batch`].
 pub type TupleRows<'s, V> = Vec<(&'s str, V)>;
 
 /// Per-tuple answer of a symbolic abort or deletion-propagation query: the
@@ -1419,49 +1417,6 @@ impl Engine {
         rows.into_iter()
             .map(|row| names.iter().copied().zip(row).collect())
             .collect()
-    }
-
-    /// [`Engine::abort_eval`] for a coalesced burst of transactions: the
-    /// whole-database evaluation schedule is computed once and replayed
-    /// per aborted transaction (see [`Engine::eval_tuples_batch`]). One
-    /// row set per transaction, in `txns` order, each bit-identical to the
-    /// one-at-a-time query. Name resolution is all-or-nothing, like
-    /// [`Engine::abort_symbolic_batch`].
-    pub fn abort_eval_batch<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        txns: &[&str],
-        structure: &S,
-        present: S::Value,
-        threads: usize,
-    ) -> Result<Vec<TupleRows<'s, S::Value>>, QueryError> {
-        let pool = MemoPool::new();
-        self.abort_eval_batch_in(state, txns, structure, present, &pool, threads)
-    }
-
-    /// [`Engine::abort_eval_batch`] with a caller-provided shard-memo
-    /// pool — the pooling variant for services that answer abort bursts
-    /// repeatedly and want the per-shard memo allocations reused across
-    /// batches.
-    pub fn abort_eval_batch_in<'s, S: UpdateStructure>(
-        &self,
-        state: &'s ReplayState,
-        txns: &[&str],
-        structure: &S,
-        present: S::Value,
-        pool: &MemoPool<S::Value>,
-        threads: usize,
-    ) -> Result<Vec<TupleRows<'s, S::Value>>, QueryError> {
-        let valuations = txns
-            .iter()
-            .map(|&txn| {
-                let p = state.txn_atom(txn).ok_or_else(|| QueryError::UnknownTxn {
-                    name: txn.to_owned(),
-                })?;
-                Ok(Valuation::constant(present.clone()).with(p, structure.zero()))
-            })
-            .collect::<Result<Vec<_>, QueryError>>()?;
-        Ok(self.eval_tuples_batch(state, structure, &valuations, pool, threads))
     }
 
     /// Decides whether two replayed logs are equivalent: for every tuple

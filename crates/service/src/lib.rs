@@ -57,6 +57,8 @@
 //! service.shutdown();
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod net;
 pub mod proto;
 pub mod service;

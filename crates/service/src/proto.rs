@@ -34,6 +34,21 @@
 //! state that answered it; the soak oracle replays exactly that prefix.
 //! Errors carry a machine-readable `err` kind plus a human message.
 
+// Panic-free zone: the parser is total over arbitrary client bytes.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+    )
+)]
+
 use std::fmt;
 use std::str::FromStr;
 

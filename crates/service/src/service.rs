@@ -25,7 +25,10 @@
 //! consecutive appends commit behind one fsync
 //! ([`DurableEngine::append_many`]), equivalence bursts normalize in one
 //! sweep ([`Engine::equivalent_many`]). Batched answers are bit-identical
-//! to one-at-a-time answers (pinned by the interleaving tests).
+//! to one-at-a-time answers (pinned by the interleaving tests), with one
+//! known exception: a batched symbolic view can list the summands of a
+//! `+M` spine in another order, because that order follows the arena's
+//! interning history.
 //!
 //! # Backpressure and shutdown
 //!
@@ -41,7 +44,8 @@
 //! A service started with [`ServiceConfig::paused`] keeps its workers
 //! parked on a gate while clients enqueue; [`Service::resume`] releases
 //! them. Tests use this to pin exactly which requests coalesce into one
-//! batch.
+//! batch, and [`Service::enqueued`] to know when a client's request sits
+//! in its queue.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,6 +121,8 @@ struct Inner<S: Storage> {
     budgets: Mutex<BTreeMap<u64, usize>>,
     batches: AtomicU64,
     coalesced: AtomicU64,
+    /// Requests accepted into a queue, all-time.
+    enqueued: AtomicU64,
     eval_threads: usize,
     next_client: AtomicU64,
 }
@@ -225,7 +231,9 @@ impl<S: Storage> Client<S> {
             reply,
         }));
         match queue.try_send(job) {
-            Ok(()) => {}
+            Ok(()) => {
+                self.inner.enqueued.fetch_add(1, Ordering::SeqCst);
+            }
             Err(TrySendError::Full(_)) => {
                 return error(ErrorKind::Overloaded, "request queue is full, retry later");
             }
@@ -270,6 +278,7 @@ impl<S: Storage + Send + Sync + 'static> Service<S> {
             budgets: Mutex::new(BTreeMap::new()),
             batches: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            enqueued: AtomicU64::new(0),
             eval_threads: config.eval_threads,
             next_client: AtomicU64::new(0),
         });
@@ -326,6 +335,13 @@ impl<S: Storage + Send + Sync + 'static> Service<S> {
     /// True until shutdown begins.
     pub fn is_accepting(&self) -> bool {
         self.inner.accepting.load(Ordering::SeqCst)
+    }
+
+    /// Requests accepted into a queue so far (rejected ones not counted).
+    /// Against a paused service, waiting for this count orders a burst:
+    /// each request is in its FIFO queue before the next is sent.
+    pub fn enqueued(&self) -> u64 {
+        self.inner.enqueued.load(Ordering::SeqCst)
     }
 
     /// Graceful shutdown: stop accepting, serve everything already

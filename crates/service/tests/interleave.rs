@@ -2,9 +2,10 @@
 //! the shutdown path.
 //!
 //! The service's pause gate ([`ServiceConfig::paused`]) makes batching
-//! reproducible: clients enqueue against parked workers, so when
-//! [`Service::resume`] opens the gate the drained batch is exactly the
-//! enqueued set. On top of that:
+//! reproducible: clients enqueue against parked workers, in an order
+//! [`Service::enqueued`] lets the test fix, so when [`Service::resume`]
+//! opens the gate the drained batch is exactly the enqueued set. On top
+//! of that:
 //!
 //! - seeded request scripts pin **coalesced answers bit-identical to
 //!   one-at-a-time answers** (same requests, `coalesce_max = 1`,
@@ -16,7 +17,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use benchkit::TestRng;
 use uprov_service::proto::{ErrorKind, Request, Response};
@@ -69,41 +69,47 @@ fn query_script(w: &Workload, rng: &mut TestRng, len: usize) -> Vec<Request> {
         .collect()
 }
 
-/// Fires `requests` concurrently at a paused service (all enqueued before
-/// the gate opens, so workers drain them as coalesced batches), returning
-/// the responses in request order.
+/// Blocks until `service` has accepted `count` requests in all.
+fn wait_enqueued(service: &Service<MemStorage>, count: u64) {
+    while service.enqueued() < count {
+        std::thread::yield_now();
+    }
+}
+
+/// Fires `requests` at a paused service in script order, one client
+/// thread each, starting each only once the previous request sits in its
+/// queue; then opens the gate, so workers drain exactly the script as
+/// coalesced batches. Returns the responses in request order.
+///
+/// The order is fixed because symbolic answers render their operands in
+/// arena order, and the arena's history follows the order in which the
+/// writer served the burst.
 fn run_coalesced(service: &Service<MemStorage>, requests: &[Request]) -> Vec<Response> {
-    let barrier = Arc::new(Barrier::new(requests.len() + 1));
-    let responses: Vec<Response> = std::thread::scope(|scope| {
-        let handles: Vec<_> = requests
-            .iter()
-            .map(|req| {
+    let base = service.enqueued();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..)
+            .zip(requests)
+            .map(|(n, req)| {
                 let client = service.client();
-                let barrier = Arc::clone(&barrier);
                 let req = req.clone();
-                scope.spawn(move || {
-                    barrier.wait();
-                    client.request(req)
-                })
+                let handle = scope.spawn(move || client.request(req));
+                wait_enqueued(service, base + n);
+                handle
             })
             .collect();
-        barrier.wait();
-        // Let every thread get through its (non-blocking) enqueue before
-        // opening the gate, so the batch composition is the full script.
-        std::thread::sleep(Duration::from_millis(300));
         service.resume();
         handles
             .into_iter()
             .map(|h| h.join().expect("no panics"))
             .collect()
-    });
-    responses
+    })
 }
 
 /// The tentpole determinism property: a burst of queries drained as
 /// coalesced batches answers **bit-identically** to the same queries
 /// issued one at a time against an uncoalesced service with the same
-/// appended prefix — across seeds, structures and all request kinds.
+/// appended prefix and the same request order — across seeds,
+/// structures and all request kinds.
 #[test]
 fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
     for seed in [3, 17] {
@@ -184,9 +190,8 @@ fn coalesced_batches_answer_bit_identically_to_one_at_a_time() {
 /// A burst of appends enqueued against a paused service group-commits as
 /// one writer batch (one fsync barrier), and the resulting state is
 /// exactly the sequential application in response-seq order. The logs
-/// use disjoint name spaces so the burst's (nondeterministic) arrival
-/// order cannot change validity — what's pinned here is the commit
-/// semantics, not queue order.
+/// use disjoint name spaces so queue order cannot change validity —
+/// what's pinned here is the commit semantics, not queue order.
 #[test]
 fn append_burst_group_commits_and_matches_sequential_order() {
     let logs: Vec<String> = (0..6)
@@ -296,7 +301,7 @@ fn full_queue_answers_typed_overloaded() {
             })
             .collect();
         barrier.wait();
-        std::thread::sleep(Duration::from_millis(300));
+        wait_enqueued(&service, 2);
         // Queue (depth 2) is now full of the fillers; the next request
         // must bounce synchronously even though the service is paused.
         let bounced = service.client().request(Request::Stats);
@@ -357,7 +362,7 @@ fn shutdown_drains_enqueued_requests_and_rejects_late_ones() {
         }
         barrier.wait();
         // All n requests enqueue against the closed gate...
-        std::thread::sleep(Duration::from_millis(500));
+        wait_enqueued(&service, n as u64);
         // ...then shutdown must serve every one of them before joining.
         let service = service;
         service.shutdown();

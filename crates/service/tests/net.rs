@@ -1,7 +1,6 @@
-//! Regression test for the shutdown-aware accept loop (`uprov-lint` PR
-//! follow-up from the service PR): a client's shutdown request must
-//! interrupt the TCP accept loop promptly, **without** a further
-//! connection ever arriving. The old `listener.incoming()` loop only
+//! Regression test for the shutdown-aware accept loop: a client's
+//! shutdown request must interrupt the TCP accept loop promptly,
+//! **without** a further connection ever arriving. The old `listener.incoming()` loop only
 //! re-checked the accept gate on the next connection, so an idle
 //! listener hung the process after shutdown.
 

@@ -8,6 +8,21 @@
 //! unlikely, but "astronomically unlikely" is not an excuse to `unwrap`
 //! in a crash path).
 
+// Panic-free zone: decoding is total over arbitrary disk bytes.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+    )
+)]
+
 use std::fmt;
 
 use uprov_engine::{Op, Txn, UpdateLog};

@@ -16,6 +16,11 @@
 //!    returns does the append exist.
 //! 3. **Apply** in memory — infallible after step 1.
 //!
+//! Steps 2 and 3 cannot be swapped: the visible state lives in a private
+//! module and only moves by consuming the `Synced` token step 2 returns
+//! (see `barrier`), so publishing before the fsync does not compile.
+//! [`DurableEngine::append_many`] shares step 2 with `append`.
+//!
 //! If step 2 fails the in-memory state is untouched and the WAL may hold
 //! a torn suffix; the engine remembers its last known-good length and
 //! truncates back to it before the next append ever writes (the same
@@ -47,6 +52,21 @@
 //! while damage that cannot be safely repaired (bad snapshot CRC, bad WAL
 //! magic, a sequence gap) is a typed [`RecoveryError`].
 
+// Panic-free zone: recovery and the write path return typed errors.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+    )
+)]
+
 use std::fmt;
 use std::io;
 
@@ -55,6 +75,7 @@ use uprov_engine::{Certification, Engine, ReplayError, ReplayState, UpdateLog};
 use crate::backend::Storage;
 use crate::snapshot::{self, SnapshotError};
 use crate::wal::{self, BadMagic, WalTail, WAL_MAGIC};
+use barrier::Visible;
 
 /// Blob name of the snapshot.
 pub const SNAPSHOT_BLOB: &str = "snapshot.bin";
@@ -195,14 +216,111 @@ pub struct RecoveryReport {
 pub struct DurableEngine<S: Storage> {
     storage: S,
     engine: Engine,
-    state: ReplayState,
-    /// Next all-time append sequence number.
-    seq: u64,
-    /// Known-good WAL byte length (magic included; 0 = WAL not created).
-    wal_len: u64,
-    /// A failed append may have left bytes past `wal_len`; truncate before
-    /// the next write.
+    /// State, sequence number and known-good WAL length. Only a passed
+    /// fsync barrier moves them (see [`barrier`]).
+    visible: Visible,
+    /// A failed append may have left bytes past the known-good WAL length;
+    /// truncate before the next write.
     wal_dirty: bool,
+}
+
+/// Durable-before-visible as a type-state. The fields of [`Visible`] and
+/// the constructor of [`Synced`] are private to this module: outside it,
+/// the visible fields of a [`DurableEngine`] cannot be written at all, and [`Visible::publish`] — the one way to move
+/// them — consumes a [`Synced`] that only [`DurableEngine::log_synced`]
+/// and [`DurableEngine::reset_wal`] create, after their barrier returned.
+/// Making an append visible before its fsync is therefore a compile error,
+/// not a review finding.
+mod barrier {
+    use std::io;
+
+    use uprov_engine::{Certification, Engine, ReplayState};
+
+    use super::{DurableEngine, WAL_BLOB};
+    use crate::backend::Storage;
+    use crate::wal::WAL_MAGIC;
+
+    /// Proof that a WAL write passed its fsync barrier.
+    #[must_use = "a synced write is not visible until it is published"]
+    pub(super) struct Synced(());
+
+    /// The part of a [`DurableEngine`] that readers observe.
+    #[derive(Debug)]
+    pub(super) struct Visible {
+        state: ReplayState,
+        /// Next all-time append sequence number.
+        seq: u64,
+        /// Known-good WAL byte length (magic included; 0 = WAL not created).
+        wal_len: u64,
+    }
+
+    impl Visible {
+        /// What recovery rebuilt from disk: durable by construction.
+        pub(super) fn recovered(state: ReplayState, seq: u64, wal_len: u64) -> Self {
+            Visible {
+                state,
+                seq,
+                wal_len,
+            }
+        }
+
+        pub(super) fn state(&self) -> &ReplayState {
+            &self.state
+        }
+
+        pub(super) fn seq(&self) -> u64 {
+            self.seq
+        }
+
+        /// Publishes a synced write of `records` records that left the WAL
+        /// `wal_len` bytes long, and hands out the state to apply them to.
+        pub(super) fn publish(
+            &mut self,
+            _: Synced,
+            records: u64,
+            wal_len: u64,
+        ) -> &mut ReplayState {
+            self.seq += records;
+            self.wal_len = wal_len;
+            &mut self.state
+        }
+
+        /// Certifies dirty normal forms: derived data, no WAL record, and
+        /// no change to what any tuple's provenance denotes.
+        pub(super) fn certify(&mut self, engine: &mut Engine) -> Certification {
+            engine.certify(&mut self.state)
+        }
+    }
+
+    impl<S: Storage> DurableEngine<S> {
+        /// The WAL write path, in its only order: truncate the torn suffix a
+        /// failed write left, prepend the magic on a fresh WAL, append
+        /// `records`, fsync. Returns the barrier's proof and the new
+        /// known-good WAL length. On `Err` nothing is visible and the WAL
+        /// is marked for repair before the next write.
+        pub(super) fn log_synced(&mut self, mut records: Vec<u8>) -> io::Result<(Synced, u64)> {
+            if self.wal_dirty {
+                self.storage.truncate(WAL_BLOB, self.visible.wal_len)?;
+                self.wal_dirty = false;
+            }
+            if self.visible.wal_len == 0 {
+                records.splice(0..0, WAL_MAGIC);
+            }
+            self.wal_dirty = true;
+            self.storage.append(WAL_BLOB, &records)?;
+            self.storage.sync(WAL_BLOB)?;
+            self.wal_dirty = false;
+            Ok((Synced(()), self.visible.wal_len + records.len() as u64))
+        }
+
+        /// Resets the WAL to magic-only after a checkpoint. `write_atomic`
+        /// syncs before it renames, so it is a barrier in its own right.
+        pub(super) fn reset_wal(&mut self) -> io::Result<Synced> {
+            self.storage.write_atomic(WAL_BLOB, &WAL_MAGIC)?;
+            self.wal_dirty = false;
+            Ok(Synced(()))
+        }
+    }
 }
 
 impl<S: Storage> DurableEngine<S> {
@@ -264,9 +382,7 @@ impl<S: Storage> DurableEngine<S> {
             DurableEngine {
                 storage,
                 engine,
-                state,
-                seq: next_seq,
-                wal_len,
+                visible: Visible::recovered(state, next_seq, wal_len),
                 wal_dirty: false,
             },
             report,
@@ -276,29 +392,21 @@ impl<S: Storage> DurableEngine<S> {
     /// Appends a log durably: validate, WAL + fsync, then apply in memory
     /// (see the module docs). On `Err` the in-memory state is unchanged.
     pub fn append(&mut self, log: &UpdateLog) -> Result<usize, DurableError> {
-        self.engine.validate_append(&self.state, log)?;
-        // Repair any torn suffix a previously failed append left behind.
-        if self.wal_dirty {
-            self.storage.truncate(WAL_BLOB, self.wal_len)?;
-            self.wal_dirty = false;
-        }
-        let mut bytes = Vec::new();
-        if self.wal_len == 0 {
-            bytes.extend_from_slice(&WAL_MAGIC);
-        }
-        bytes.extend_from_slice(&wal::encode_record(self.seq, log));
-        self.wal_dirty = true;
-        self.storage.append(WAL_BLOB, &bytes)?;
-        self.storage.sync(WAL_BLOB)?;
+        self.engine.validate_append(self.visible.state(), log)?;
+        let record = wal::encode_record(self.visible.seq(), log);
+        let (synced, wal_len) = self.log_synced(record)?;
         // The fsync barrier passed: the append is durable. Make it
         // visible — infallible after validation.
-        self.wal_dirty = false;
-        self.wal_len += bytes.len() as u64;
-        self.seq += 1;
+        let state = self.visible.publish(synced, 1, wal_len);
+        #[expect(
+            clippy::expect_used,
+            reason = "the same log validated against the same state before the WAL write; a \
+                      rejection here means the WAL now holds a record replay would refuse, and \
+                      crashing beats diverging from disk"
+        )]
         let applied = self
             .engine
-            .append(&mut self.state, log)
-            // lint: allow(panic, reason = "the same log validated against the same state before the WAL write; a rejection here means the WAL now holds a record replay would refuse, and crashing beats diverging from disk")
+            .append(state, log)
             .expect("validated before logging");
         Ok(applied)
     }
@@ -321,54 +429,40 @@ impl<S: Storage> DurableEngine<S> {
         &mut self,
         logs: &[UpdateLog],
     ) -> Result<Vec<Result<usize, ReplayError>>, DurableError> {
-        let mut scratch = self.state.clone();
+        let mut scratch = self.visible.state().clone();
         let mut verdicts: Vec<Result<usize, ReplayError>> = Vec::with_capacity(logs.len());
         let mut records = Vec::new();
-        let mut seq = self.seq;
+        let mut accepted = 0;
         for log in logs {
             // `Engine::append` validates before applying, so a rejected
             // log leaves `scratch` untouched and the batch marches on.
             match self.engine.append(&mut scratch, log) {
                 Ok(applied) => {
+                    let seq = self.visible.seq() + accepted;
                     records.extend_from_slice(&wal::encode_record(seq, log));
-                    seq += 1;
+                    accepted += 1;
                     verdicts.push(Ok(applied));
                 }
                 Err(e) => verdicts.push(Err(e)),
             }
         }
-        if records.is_empty() {
+        if accepted == 0 {
             // Nothing accepted: no WAL traffic, no state change.
             return Ok(verdicts);
         }
-        if self.wal_dirty {
-            self.storage.truncate(WAL_BLOB, self.wal_len)?;
-            self.wal_dirty = false;
-        }
-        let mut bytes = Vec::new();
-        if self.wal_len == 0 {
-            bytes.extend_from_slice(&WAL_MAGIC);
-        }
-        bytes.extend_from_slice(&records);
-        self.wal_dirty = true;
-        self.storage.append(WAL_BLOB, &bytes)?;
-        self.storage.sync(WAL_BLOB)?;
+        let (synced, wal_len) = self.log_synced(records)?;
         // One barrier for the whole batch; only now does it become visible.
-        self.wal_dirty = false;
-        self.wal_len += bytes.len() as u64;
-        self.seq = seq;
-        self.state = scratch;
+        *self.visible.publish(synced, accepted, wal_len) = scratch;
         Ok(verdicts)
     }
 
     /// Checkpoints: atomically replaces the snapshot, then resets the WAL
     /// to magic-only. Crash-safe in both halves (module docs).
     pub fn snapshot(&mut self) -> Result<(), DurableError> {
-        let bytes = snapshot::encode(&self.engine, &self.state, self.seq);
+        let bytes = snapshot::encode(&self.engine, self.visible.state(), self.visible.seq());
         self.storage.write_atomic(SNAPSHOT_BLOB, &bytes)?;
-        self.storage.write_atomic(WAL_BLOB, &WAL_MAGIC)?;
-        self.wal_len = WAL_MAGIC.len() as u64;
-        self.wal_dirty = false;
+        let synced = self.reset_wal()?;
+        self.visible.publish(synced, 0, WAL_MAGIC.len() as u64);
         Ok(())
     }
 
@@ -376,12 +470,12 @@ impl<S: Storage> DurableEngine<S> {
     /// Purely derived data — it changes what the next [`Self::snapshot`]
     /// captures, but needs no WAL record.
     pub fn certify(&mut self) -> Certification {
-        self.engine.certify(&mut self.state)
+        self.visible.certify(&mut self.engine)
     }
 
     /// The replay state (tuple roots, certified NFs, dirty set).
     pub fn state(&self) -> &ReplayState {
-        &self.state
+        self.visible.state()
     }
 
     /// The underlying engine, shared.
@@ -392,12 +486,12 @@ impl<S: Storage> DurableEngine<S> {
     /// Split borrow for queries, which need `&mut Engine` alongside the
     /// state: `let (engine, state) = db.query(); engine.abort_symbolic(state, ..)`.
     pub fn query(&mut self) -> (&mut Engine, &ReplayState) {
-        (&mut self.engine, &self.state)
+        (&mut self.engine, self.visible.state())
     }
 
     /// Next all-time append sequence number (= appends accepted so far).
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.visible.seq()
     }
 
     /// The storage backend, shared (test introspection).

@@ -57,8 +57,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod backend;
 pub mod codec;

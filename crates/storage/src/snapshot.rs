@@ -305,6 +305,19 @@ pub fn encode(engine: &Engine, state: &ReplayState, wal_seq: u64) -> Vec<u8> {
 /// state and the certified-NF id pairs. Pure byte reading plus range
 /// checks — independent of the arena value, so [`decode`] can run it
 /// concurrently with the arena's bulk rebuild.
+// The decode half of this file is a panic-free zone: it must be total over
+// arbitrary disk bytes. `encode` serializes state this process built and
+// may index the vectors it sized, so the zone is set per function.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 fn decode_tail(
     r: &mut Reader<'_>,
     atoms: &AtomTable,
@@ -387,6 +400,16 @@ fn decode_tail(
 /// thread parses — both still gate the result: a checksum mismatch is
 /// reported ahead of any parse error (the payload bytes themselves are
 /// untrustworthy), exactly as if the CRC had been checked first.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     // Header. The magic comparison and every header field go through
     // total reads: a blob shorter than its fixed header is a typed error,
@@ -419,7 +442,11 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
             (payload.len() >= CRC_OFFLOAD && multicore()).then(|| s.spawn(move || crc32(payload)));
         let parsed = decode_payload(payload);
         let computed = match crc_task {
-            // lint: allow(panic, reason = "join fails only if the crc closure panicked, and crc32 is a total table-driven loop; re-raising the panic is the only sound response")
+            #[expect(
+                clippy::expect_used,
+                reason = "join fails only if the crc closure panicked, and crc32 is a total \
+                          table-driven loop; re-raising the panic is the only sound response"
+            )]
             Some(task) => task.join().expect("crc pass does not panic"),
             None => crc32(payload),
         };
@@ -433,12 +460,32 @@ pub fn decode(bytes: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
 /// True when a helper thread can actually run in parallel. On a
 /// single-core host (CI containers included) an offloaded pass only adds
 /// spawn + scheduling cost, so the decode stays sequential there.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 fn multicore() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
 /// The post-header, post-frame-checks parse of one payload (see
 /// [`decode`], which wraps it with the CRC gate).
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
     let mut r = Reader::new(payload);
     let wal_seq = r.take_u64("wal sequence")?;
@@ -572,7 +619,11 @@ fn decode_payload(payload: &[u8]) -> Result<RecoveredSnapshot, SnapshotError> {
         std::thread::scope(|s| {
             let rebuild = s.spawn(move || ExprArena::from_canonical_nodes(nodes));
             let tail = decode_tail(&mut r, &atoms, natoms, nnodes);
-            // lint: allow(panic, reason = "join fails only if the bulk rebuild panicked; from_canonical_nodes returns typed errors, so a panic there is a bug worth crashing on")
+            #[expect(
+                clippy::expect_used,
+                reason = "join fails only if the bulk rebuild panicked; from_canonical_nodes \
+                          returns typed errors, so a panic there is a bug worth crashing on"
+            )]
             let arena = rebuild.join().expect("bulk arena rebuild does not panic");
             (arena, tail)
         })

@@ -34,6 +34,21 @@
 //! a file shorter than the magic that prefix-matches it, which is treated
 //! as a torn creation and truncated to empty.
 
+// Panic-free zone: the scan is total over arbitrary disk bytes.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+    )
+)]
+
 use crate::codec::{put_u32, put_u64, put_update_log, take_update_log, Reader};
 use crate::crc::crc32;
 use std::fmt;

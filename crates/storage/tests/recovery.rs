@@ -10,8 +10,8 @@ use std::io;
 
 use uprov_engine::{Engine, ReplayState, UpdateLog};
 use uprov_storage::{
-    wal, DurableEngine, FileStorage, MemStorage, RecoveryError, SnapshotError, Storage, WalTail,
-    SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
+    wal, DurableEngine, DurableError, FileStorage, MemStorage, RecoveryError, SnapshotError,
+    Storage, WalTail, SNAPSHOT_BLOB, WAL_BLOB, WAL_MAGIC,
 };
 
 fn log(text: &str) -> UpdateLog {
@@ -279,38 +279,68 @@ impl Storage for FlakyStorage {
     }
 }
 
+/// One write path of [`DurableEngine`], committing a batch of logs.
+type WritePath = fn(&mut DurableEngine<FlakyStorage>, &[UpdateLog]) -> Result<(), DurableError>;
+
+/// The single-log path, once per log, and the group commit the service
+/// writes through, once per batch.
+fn write_paths() -> [(&'static str, WritePath); 2] {
+    [
+        ("append", |db, logs| {
+            logs.iter().try_for_each(|l| db.append(l).map(drop))
+        }),
+        ("append_many", |db, logs| {
+            let verdicts = db.append_many(logs)?;
+            assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
+            Ok(())
+        }),
+    ]
+}
+
 #[test]
 fn failed_append_leaves_state_untouched_and_the_next_append_repairs_the_wal() {
     let base = log("base a\nbegin t1\ninsert b\ncommit\n");
-    let delta = log("begin t2\ndelete b\ncommit\n");
-    let storage = FlakyStorage {
+    let batch = [
+        log("begin t2\ndelete b\ncommit\n"),
+        log("begin t3\ninsert c\ncommit\n"),
+    ];
+    let healthy = || FlakyStorage {
         inner: MemStorage::new(),
         fail_next_append: false,
     };
-    let (mut db, _) = DurableEngine::open(storage).expect("fresh");
-    db.append(&base).unwrap();
-    let want = db.state().to_snapshot();
-    let clean_wal = db.storage().inner.blob(WAL_BLOB).unwrap().to_vec();
-    // Arm the transient failure (no &mut storage accessor on
-    // DurableEngine by design, so bounce through a clean reopen).
-    let mut storage = db.into_storage();
-    storage.fail_next_append = true;
-    let (mut db, _) = DurableEngine::open(storage).expect("clean reopen");
-    let err = db.append(&delta).expect_err("transient failure");
-    assert!(matches!(err, uprov_storage::DurableError::Io(_)));
-    assert_eq!(db.state().to_snapshot(), want, "state unchanged on Err");
-    assert!(
-        db.storage().inner.blob(WAL_BLOB).unwrap().len() > clean_wal.len(),
-        "torn bytes really are on disk"
-    );
-    // The retry truncates the torn suffix before writing, so the WAL ends
-    // up byte-identical to a never-failed run.
-    db.append(&delta).expect("retry succeeds");
-    let mut ref_bytes = clean_wal.clone();
-    ref_bytes.extend_from_slice(&wal::encode_record(1, &delta));
-    assert_eq!(db.storage().inner.blob(WAL_BLOB).unwrap(), &ref_bytes[..]);
-    let (_, state) = reference(&[&base, &delta], &[]);
-    assert_eq!(db.state().to_snapshot(), state.to_snapshot());
+    for (path, write) in write_paths() {
+        let (mut db, _) = DurableEngine::open(healthy()).expect("fresh");
+        db.append(&base).unwrap();
+        let want = db.state().to_snapshot();
+        let clean_wal = db.storage().inner.blob(WAL_BLOB).unwrap().to_vec();
+        // Arm the transient failure (no &mut storage accessor on
+        // DurableEngine by design, so bounce through a clean reopen).
+        let mut storage = db.into_storage();
+        storage.fail_next_append = true;
+        let (mut db, _) = DurableEngine::open(storage).expect("clean reopen");
+        let err = write(&mut db, &batch).expect_err("transient failure");
+        assert!(matches!(err, DurableError::Io(_)), "{path}: {err:?}");
+        assert_eq!(db.state().to_snapshot(), want, "{path}: state unchanged");
+        assert_eq!(db.seq(), 1, "{path}: seq unchanged");
+        assert!(
+            db.storage().inner.blob(WAL_BLOB).unwrap().len() > clean_wal.len(),
+            "{path}: torn bytes really are on disk"
+        );
+        // The retry truncates the torn suffix before writing, so the WAL
+        // ends up byte-identical to a run that never failed.
+        write(&mut db, &batch).expect("retry succeeds");
+        let (mut never_failed, _) = DurableEngine::open(healthy()).unwrap();
+        never_failed.append(&base).unwrap();
+        write(&mut never_failed, &batch).unwrap();
+        assert_eq!(
+            db.storage().inner.blob(WAL_BLOB),
+            never_failed.storage().inner.blob(WAL_BLOB),
+            "{path}: repaired WAL"
+        );
+        assert_eq!(db.seq(), 3, "{path}");
+        let (_, state) = reference(&[&base, &batch[0], &batch[1]], &[]);
+        assert_eq!(db.state().to_snapshot(), state.to_snapshot(), "{path}");
+    }
 }
 
 #[test]
